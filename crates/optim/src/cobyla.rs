@@ -25,11 +25,10 @@
 //! The run is organized as a sequence of **atomic steps** (simplex
 //! initialization, one trust-region iteration, one degenerate-simplex
 //! rebuild) over an explicit [`CobylaState`], which is what makes the
-//! optimizer [`Resumable`]: a paused run continues exactly where it stopped.
+//! optimizer resumable: a paused run continues exactly where it stopped.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{OptimizerState, Resumable};
-use crate::Optimizer;
+use crate::resumable::{Optimizer, OptimizerState};
 
 /// COBYLA-style linear trust-region optimizer.
 #[derive(Debug, Clone)]
@@ -63,7 +62,7 @@ impl CobylaOptimizer {
     }
 }
 
-/// Checkpointed state of a COBYLA run (see [`Resumable`]).
+/// Checkpointed state of a COBYLA run (see [`Optimizer::resume_until`]).
 #[derive(Debug, Clone)]
 pub struct CobylaState {
     pub(crate) initial: Vec<f64>,
@@ -262,7 +261,11 @@ impl CobylaOptimizer {
     }
 }
 
-impl Resumable for CobylaOptimizer {
+impl Optimizer for CobylaOptimizer {
+    fn name(&self) -> &'static str {
+        "cobyla"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::Cobyla(CobylaState {
             initial: initial.to_vec(),
@@ -290,22 +293,6 @@ impl Resumable for CobylaOptimizer {
             self.step(s, objective);
         }
         s.snapshot()
-    }
-}
-
-impl Optimizer for CobylaOptimizer {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "cobyla"
     }
 }
 

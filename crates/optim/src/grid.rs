@@ -1,12 +1,11 @@
 //! Uniform grid search within a box around the start point.
 //!
 //! The grid is laid out once from the run's total budget (the `budget_hint`
-//! of [`Resumable::start`]) and walked cursor-by-cursor, so a paused run
-//! [resumes](crate::Resumable) at the exact next grid point.
+//! of [`Optimizer::start`]) and walked cursor-by-cursor, so a paused run
+//! [resumes](crate::Optimizer::resume_until) at the exact next grid point.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
+use crate::resumable::{BatchProposal, Optimizer, OptimizerState};
 
 /// Evaluate the objective on a uniform grid in `initial ± half_width` and
 /// return the best grid point. The number of points per dimension is chosen
@@ -25,7 +24,7 @@ impl Default for GridSearch {
     }
 }
 
-/// Checkpointed state of a grid-search run (see [`Resumable`]).
+/// Checkpointed state of a grid-search run (see [`Optimizer::resume_until`]).
 #[derive(Debug, Clone)]
 pub struct GridState {
     pub(crate) initial: Vec<f64>,
@@ -50,7 +49,11 @@ impl GridState {
     }
 }
 
-impl Resumable for GridSearch {
+impl Optimizer for GridSearch {
+    fn name(&self) -> &'static str {
+        "grid-search"
+    }
+
     fn start(&self, initial: &[f64], budget_hint: usize) -> OptimizerState {
         let n = initial.len();
         let budget = budget_hint.max(1);
@@ -184,22 +187,6 @@ impl Resumable for GridSearch {
         if s.cursor >= s.total {
             s.converged = true;
         }
-    }
-}
-
-impl Optimizer for GridSearch {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "grid-search"
     }
 }
 

@@ -16,9 +16,12 @@
 //! All optimizers **minimize**; QAOA energy maximization is expressed by
 //! minimizing the negated expectation.
 //!
-//! Every bundled optimizer is also [`Resumable`]: a run can be checkpointed
-//! as an [`OptimizerState`] and continued later with a larger budget, which
-//! is what the search package's successive-halving pruner builds on. See
+//! There is one trait and one code path per optimizer: every run is a
+//! checkpoint ([`OptimizerState`]) advanced by [`Optimizer::resume_until`],
+//! so it can be paused and continued later with a larger budget, which is
+//! what the search package's successive-halving pruner builds on.
+//! [`Optimizer::minimize`] is a provided method over the same two calls
+//! (`start` + `resume_until`), never a separate implementation. See
 //! [`resumable`] for the contract and a worked example.
 //!
 //! ```
@@ -45,27 +48,10 @@ pub use grid::GridSearch;
 pub use nelder_mead::NelderMead;
 pub use random_search::RandomSearch;
 pub use result::{OptimizationResult, OptimizationTrace};
-pub use resumable::{BatchProposal, OptimizerState, Resumable};
+pub use resumable::{BatchProposal, Optimizer, OptimizerState};
 pub use spsa::Spsa;
 
 use serde::{Deserialize, Serialize};
-
-/// A derivative-free minimizer of `f: R^n -> R`.
-pub trait Optimizer: Send + Sync {
-    /// Minimize `objective` starting from `initial`, with a budget of
-    /// `max_evaluations` objective calls. Implementations may use fewer
-    /// evaluations but must not exceed the budget by more than the cost of
-    /// finishing their current iteration.
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult;
-
-    /// Human-readable name used in reports and benches.
-    fn name(&self) -> &'static str;
-}
 
 /// Enumeration of the bundled optimizers, convenient for configuration files
 /// and benches.
@@ -86,18 +72,6 @@ pub enum OptimizerKind {
 impl OptimizerKind {
     /// Instantiate the optimizer with default hyper-parameters.
     pub fn build(self) -> Box<dyn Optimizer> {
-        match self {
-            OptimizerKind::Cobyla => Box::new(CobylaOptimizer::default()),
-            OptimizerKind::NelderMead => Box::new(NelderMead::default()),
-            OptimizerKind::Spsa => Box::new(Spsa::default()),
-            OptimizerKind::RandomSearch => Box::new(RandomSearch::default()),
-            OptimizerKind::GridSearch => Box::new(GridSearch::default()),
-        }
-    }
-
-    /// Instantiate the optimizer behind the [`Resumable`] interface (every
-    /// bundled optimizer supports checkpoint/resume).
-    pub fn build_resumable(self) -> Box<dyn Resumable> {
         match self {
             OptimizerKind::Cobyla => Box::new(CobylaOptimizer::default()),
             OptimizerKind::NelderMead => Box::new(NelderMead::default()),

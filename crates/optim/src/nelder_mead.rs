@@ -1,11 +1,10 @@
 //! Nelder–Mead downhill simplex minimizer.
 //!
 //! Organized as atomic iterations over an explicit [`NelderMeadState`] so a
-//! paused run can be [resumed](crate::Resumable) exactly where it stopped.
+//! paused run can be [resumed](crate::Optimizer::resume_until) exactly where it stopped.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
+use crate::resumable::{BatchProposal, Optimizer, OptimizerState};
 
 /// The Nelder–Mead simplex method with standard reflection / expansion /
 /// contraction / shrink coefficients.
@@ -38,7 +37,7 @@ impl Default for NelderMead {
     }
 }
 
-/// Checkpointed state of a Nelder–Mead run (see [`Resumable`]).
+/// Checkpointed state of a Nelder–Mead run (see [`Optimizer::resume_until`]).
 #[derive(Debug, Clone)]
 pub struct NelderMeadState {
     pub(crate) initial: Vec<f64>,
@@ -172,7 +171,11 @@ impl NelderMead {
     }
 }
 
-impl Resumable for NelderMead {
+impl Optimizer for NelderMead {
+    fn name(&self) -> &'static str {
+        "nelder-mead"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::NelderMead(NelderMeadState {
             initial: initial.to_vec(),
@@ -259,22 +262,6 @@ impl Resumable for NelderMead {
             s.trace.record(v);
             s.simplex.push((x.clone(), v));
         }
-    }
-}
-
-impl Optimizer for NelderMead {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "nelder-mead"
     }
 }
 

@@ -1,26 +1,35 @@
 //! Property-based tests shared by all optimizers.
 
-use crate::{CobylaOptimizer, GridSearch, NelderMead, Optimizer, RandomSearch, Resumable, Spsa};
+use crate::test_functions::optimizers;
+use crate::{Optimizer, OptimizerState};
 use proptest::prelude::*;
 
-fn optimizers() -> Vec<Box<dyn Optimizer>> {
-    vec![
-        Box::new(CobylaOptimizer::default()),
-        Box::new(NelderMead::default()),
-        Box::new(Spsa::default()),
-        Box::new(RandomSearch::default()),
-        Box::new(GridSearch::default()),
-    ]
+/// How far past its target one call may leave an `n`-dimensional run: one
+/// less than the largest atomic step documented on [`Optimizer`] (SPSA,
+/// random and grid search only begin steps that fit, so never overshoot).
+fn max_overshoot(optimizer: &str, n: usize) -> usize {
+    match optimizer {
+        "cobyla" => n,
+        "nelder-mead" => n + 1,
+        "spsa" | "random-search" | "grid-search" => 0,
+        other => panic!("no documented step bound for {other}"),
+    }
 }
 
-fn resumables() -> Vec<Box<dyn Resumable>> {
-    vec![
-        Box::new(CobylaOptimizer::default()),
-        Box::new(NelderMead::default()),
-        Box::new(Spsa::default()),
-        Box::new(RandomSearch::default()),
-        Box::new(GridSearch::default()),
-    ]
+/// Advance `state` to `target` through the scalar or the batch driver.
+fn advance(
+    opt: &dyn Optimizer,
+    state: &mut OptimizerState,
+    f: &(dyn Fn(&[f64]) -> f64 + Sync),
+    target: usize,
+    batched: bool,
+) {
+    if batched {
+        let mut batch_f = |points: &[Vec<f64>]| points.iter().map(|p| f(p)).collect::<Vec<f64>>();
+        opt.resume_until_batched(state, &mut batch_f, f, target);
+    } else {
+        opt.resume_until(state, f, target);
+    }
 }
 
 proptest! {
@@ -69,7 +78,7 @@ proptest! {
     ) {
         let f = move |x: &[f64]| (x[0] - 0.7).powi(2) + (x[1] + 0.3).powi(2) + (x[0] * x[1]).cos();
         let mut batch_f = |points: &[Vec<f64>]| points.iter().map(|p| f(p)).collect::<Vec<f64>>();
-        for opt in resumables() {
+        for opt in optimizers() {
             // Reference: scalar leg to k, then scalar to budget.
             let mut scalar_state = opt.start(&[x0, x1], budget);
             opt.resume_until(&mut scalar_state, &f, k);
@@ -91,6 +100,43 @@ proptest! {
                 prop_assert_eq!(a.value.to_bits(), b.value.to_bits(),
                     "{}: trace value", opt.name());
             }
+        }
+    }
+
+    /// The documented step bound holds for every optimizer, every target
+    /// sequence and both drivers: a call never stops more than one atomic
+    /// step past its target.
+    #[test]
+    fn evaluations_never_pass_the_target_by_more_than_one_atomic_step(
+        initial in proptest::collection::vec(-2.0f64..2.0, 0..5),
+        targets in proptest::collection::vec(0usize..90, 1..6),
+        batched in any::<bool>(),
+    ) {
+        // A cusp at the minimum makes Nelder–Mead fall through to its
+        // shrink step, the largest one, now and then.
+        let f = |x: &[f64]| {
+            x.iter().enumerate().map(|(i, v)| (v - 0.3 * i as f64).abs().sqrt()).sum::<f64>()
+        };
+        let n = initial.len();
+        let budget = targets.iter().copied().max().unwrap_or(0);
+        for opt in optimizers() {
+            let bound = max_overshoot(opt.name(), n);
+            let mut state = opt.start(&initial, budget);
+            // The random targets, then one-evaluation rungs, which start
+            // every later step exactly one evaluation below its target.
+            let unit_rungs = (0..60).map(|_| None);
+            for target in targets.iter().map(|&t| Some(t)).chain(unit_rungs) {
+                let before = state.evaluations();
+                let target = target.unwrap_or(before + 1);
+                advance(opt.as_ref(), &mut state, &f, target, batched);
+                let after = state.evaluations();
+                prop_assert!(after <= before.max(target + bound),
+                    "{}: {after} evaluations at target {target} (n = {n}, bound {bound}, \
+                     batched {batched})", opt.name());
+            }
+            let r = opt.minimize(&f, &initial, budget);
+            prop_assert!(r.evaluations <= budget.max(1) + bound,
+                "{}: minimize spent {} of {budget} (n = {n})", opt.name(), r.evaluations);
         }
     }
 

@@ -6,11 +6,10 @@
 //!
 //! The run is a sequence of one-evaluation steps over an explicit
 //! [`RandomSearchState`] (RNG stream plus incumbent), so it is trivially
-//! [resumable](crate::Resumable).
+//! [resumable](crate::Optimizer::resume_until).
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
+use crate::resumable::{BatchProposal, Optimizer, OptimizerState};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -32,7 +31,7 @@ impl Default for RandomSearch {
     }
 }
 
-/// Checkpointed state of a random-search run (see [`Resumable`]).
+/// Checkpointed state of a random-search run (see [`Optimizer::resume_until`]).
 #[derive(Debug, Clone)]
 pub struct RandomSearchState {
     /// Center of the sampling box.
@@ -56,7 +55,11 @@ impl RandomSearchState {
     }
 }
 
-impl Resumable for RandomSearch {
+impl Optimizer for RandomSearch {
+    fn name(&self) -> &'static str {
+        "random-search"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::RandomSearch(RandomSearchState {
             center: initial.to_vec(),
@@ -172,22 +175,6 @@ impl Resumable for RandomSearch {
                 s.best_point = candidate.clone();
             }
         }
-    }
-}
-
-impl Optimizer for RandomSearch {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "random-search"
     }
 }
 

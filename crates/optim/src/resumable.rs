@@ -5,16 +5,17 @@
 //! top fraction is promoted, and promoted candidates *continue* training with
 //! a larger budget. Continuing requires the optimizer to pick up exactly
 //! where it stopped — same simplex, same trust region, same RNG stream —
-//! instead of restarting from scratch. The [`Resumable`] trait provides that:
+//! instead of restarting from scratch. The [`Optimizer`] trait is built
+//! around that:
 //!
-//! * [`Resumable::start`] builds an [`OptimizerState`] checkpoint without
+//! * [`Optimizer::start`] builds an [`OptimizerState`] checkpoint without
 //!   consuming any objective evaluations, and
-//! * [`Resumable::resume_until`] advances the state until its *cumulative*
+//! * [`Optimizer::resume_until`] advances the state until its *cumulative*
 //!   evaluation count reaches a target (or the optimizer converges).
 //!
-//! Every bundled optimizer implements the trait, and each implements
-//! [`Optimizer::minimize`] *in terms of* `start` + `resume_until`, which
-//! makes the central guarantee structural rather than aspirational:
+//! [`Optimizer::minimize`] is a provided method — `start` followed by one
+//! `resume_until` — so no optimizer has a separate one-shot code path, and
+//! the central guarantee is structural rather than aspirational:
 //!
 //! > resuming after `k` evaluations and finishing later is **bit-identical**
 //! > to one uninterrupted run with the full budget.
@@ -23,13 +24,13 @@
 //! whole Nelder–Mead iteration, an SPSA perturbation pair). A step either
 //! runs to completion or is not started, so the evaluation sequence depends
 //! only on the state — never on where a budget boundary happens to fall.
-//! Steps may overshoot the target by the cost of finishing the current step,
-//! exactly the slack [`Optimizer::minimize`] has always documented.
+//! Steps may overshoot the target by the cost of finishing the current step;
+//! the [`Optimizer`] docs list each optimizer's largest step.
 //!
 //! # Worked example
 //!
 //! ```
-//! use optim::{CobylaOptimizer, Optimizer, Resumable};
+//! use optim::{CobylaOptimizer, Optimizer};
 //!
 //! let f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2);
 //! let opt = CobylaOptimizer::default();
@@ -54,12 +55,11 @@ use crate::nelder_mead::NelderMeadState;
 use crate::random_search::RandomSearchState;
 use crate::result::OptimizationResult;
 use crate::spsa::SpsaState;
-use crate::Optimizer;
 
 /// A checkpoint of an in-flight optimization run.
 ///
-/// Produced by [`Resumable::start`], advanced in place by
-/// [`Resumable::resume_until`]. The variant must match the optimizer that
+/// Produced by [`Optimizer::start`], advanced in place by
+/// [`Optimizer::resume_until`]. The variant must match the optimizer that
 /// created it; handing a state to a different optimizer kind is a logic
 /// error and panics.
 #[derive(Debug, Clone)]
@@ -124,15 +124,15 @@ impl OptimizerState {
 }
 
 /// One round of the batch-step protocol (see
-/// [`Resumable::propose_batch`]).
+/// [`Optimizer::propose_batch`]).
 #[derive(Debug, Clone)]
 pub enum BatchProposal {
     /// Evaluate these points (in order) and hand the values back via
-    /// [`Resumable::observe_batch`]. Never empty.
+    /// [`Optimizer::observe_batch`]. Never empty.
     Points(Vec<Vec<f64>>),
     /// The optimizer's next step cannot be expressed as an up-front point
     /// set (it branches on values mid-step); fall back to the scalar
-    /// [`Resumable::resume_until`] path for the rest of the rung. Since the
+    /// [`Optimizer::resume_until`] path for the rest of the rung. Since the
     /// scalar path is the reference semantics, this arm is trivially
     /// bit-identical.
     Scalar,
@@ -141,13 +141,27 @@ pub enum BatchProposal {
     Exhausted,
 }
 
-/// A minimizer whose runs can be checkpointed and continued.
+/// A derivative-free, checkpointable minimizer of `f: R^n -> R`.
 ///
 /// See the [module documentation](self) for the contract and a worked
 /// example. Implementations guarantee that for any increasing sequence of
 /// targets `t_1 < t_2 < … < t_m = B`, chaining
 /// `resume_until(t_1), …, resume_until(t_m)` performs exactly the same
 /// objective evaluations as a single `minimize(…, B)` call.
+///
+/// # Budget overshoot
+///
+/// A call may stop past its target by at most the cost of the atomic step it
+/// began below the target, i.e. by one less than the optimizer's largest
+/// step. For an `n`-dimensional problem the largest steps are:
+///
+/// | optimizer | largest atomic step | overshoot |
+/// |---|---|---|
+/// | [`CobylaOptimizer`](crate::CobylaOptimizer) | `n + 1` (initial simplex; a rejected trust-region step plus its `n`-vertex refresh) | `≤ n` |
+/// | [`NelderMead`](crate::NelderMead) | `n + 2` (reflect, contract, then an `n`-vertex shrink) | `≤ n + 1` |
+/// | [`Spsa`](crate::Spsa) | 3 (a ± pair plus the periodic iterate check), begun only when it fits | none |
+/// | [`RandomSearch`](crate::RandomSearch) | 1 | none |
+/// | [`GridSearch`](crate::GridSearch) | 1 | none |
 ///
 /// # Batch stepping
 ///
@@ -157,13 +171,16 @@ pub enum BatchProposal {
 /// one point at a time: SPSA's ± perturbation pair, Nelder–Mead's initial
 /// simplex vertices, grid/random search's whole populations. The contract is
 /// strict bit-identity: driving a state with
-/// [`Resumable::resume_until_batched`] performs exactly the same objective
+/// [`Optimizer::resume_until_batched`] performs exactly the same objective
 /// evaluations, in the same order, with the same f64 arithmetic on the
-/// results, as [`Resumable::resume_until`] with the same target — so the two
+/// results, as [`Optimizer::resume_until`] with the same target — so the two
 /// are interchangeable mid-run, checkpoint for checkpoint. The default
 /// implementation proposes [`BatchProposal::Scalar`], which makes every
-/// existing implementor batch-capable (at batch size 1) by construction.
-pub trait Resumable: Optimizer {
+/// implementor batch-capable (at batch size 1) by construction.
+pub trait Optimizer: Send + Sync {
+    /// Human-readable name used in reports and benches.
+    fn name(&self) -> &'static str;
+
     /// Create a fresh checkpoint at `initial`. No objective evaluations are
     /// consumed. `budget_hint` is the total evaluation budget the run is
     /// expected to receive across all `resume_until` calls; grid search uses
@@ -186,12 +203,25 @@ pub trait Resumable: Optimizer {
         target_evaluations: usize,
     ) -> OptimizationResult;
 
+    /// Minimize `objective` starting from `initial`, with a budget of
+    /// `max_evaluations` objective calls: [`start`](Self::start) followed by
+    /// one [`resume_until`](Self::resume_until) (at least one evaluation).
+    fn minimize(
+        &self,
+        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
+        initial: &[f64],
+        max_evaluations: usize,
+    ) -> OptimizationResult {
+        let mut state = self.start(initial, max_evaluations);
+        self.resume_until(&mut state, objective, max_evaluations.max(1))
+    }
+
     /// Propose the next set of points to evaluate together, given that the
     /// run may spend evaluations up to `target_evaluations` in total.
     ///
     /// Implementations may mutate `state` (e.g. draw the RNG that shapes the
     /// points), but every [`BatchProposal::Points`] return must be followed
-    /// by exactly one [`Resumable::observe_batch`] call with the values
+    /// by exactly one [`Optimizer::observe_batch`] call with the values
     /// before the next `propose_batch` / `resume_until`. The default
     /// delegates the whole rung to the scalar path.
     ///
@@ -229,7 +259,7 @@ pub trait Resumable: Optimizer {
     /// repeatedly propose a point set, evaluate it with `batch_objective`,
     /// and observe the values — falling back to the scalar `objective` when
     /// the optimizer cannot batch its next step. Bit-identical to
-    /// [`Resumable::resume_until`] with the same target (see the trait docs).
+    /// [`Optimizer::resume_until`] with the same target (see the trait docs).
     ///
     /// `batch_objective` must return one value per point, equal to what
     /// `objective` would return for that point — the batch evaluator's own
@@ -266,17 +296,8 @@ pub trait Resumable: Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_functions::optimizers;
     use crate::{CobylaOptimizer, GridSearch, NelderMead, RandomSearch, Spsa};
-
-    fn resumables() -> Vec<Box<dyn Resumable>> {
-        vec![
-            Box::new(CobylaOptimizer::default()),
-            Box::new(NelderMead::default()),
-            Box::new(Spsa::default()),
-            Box::new(RandomSearch::default()),
-            Box::new(GridSearch::default()),
-        ]
-    }
 
     /// The tentpole guarantee: resume-after-k equals one uninterrupted run,
     /// bit for bit, for every bundled optimizer.
@@ -285,7 +306,7 @@ mod tests {
         let f = |x: &[f64]| (x[0] - 0.8).powi(2) + (x[1] + 0.4).powi(2) + (x[0] * x[1]).sin();
         let initial = [0.3, -0.2];
         let budget = 90;
-        for opt in resumables() {
+        for opt in optimizers() {
             let full = opt.minimize(&f, &initial, budget);
 
             for k in [1usize, 7, 25, 60] {
@@ -323,7 +344,7 @@ mod tests {
     #[test]
     fn many_tiny_rungs_equal_one_run() {
         let f = |x: &[f64]| x[0].cos() + 0.2 * x[0] * x[0];
-        for opt in resumables() {
+        for opt in optimizers() {
             let full = opt.minimize(&f, &[1.1], 64);
             let mut state = opt.start(&[1.1], 64);
             for target in (1..=64).step_by(3) {
@@ -337,7 +358,7 @@ mod tests {
 
     #[test]
     fn start_consumes_no_evaluations() {
-        for opt in resumables() {
+        for opt in optimizers() {
             let state = opt.start(&[0.5, 0.5], 50);
             assert_eq!(state.evaluations(), 0, "{}", opt.name());
             assert!(!state.converged(), "{}", opt.name());
@@ -346,7 +367,7 @@ mod tests {
 
     #[test]
     fn snapshot_before_any_resume_is_safe() {
-        for opt in resumables() {
+        for opt in optimizers() {
             let state = opt.start(&[0.5], 50);
             let r = state.result();
             assert_eq!(r.evaluations, 0, "{}", opt.name());
@@ -357,7 +378,7 @@ mod tests {
     #[test]
     fn target_at_or_below_current_count_is_a_noop() {
         let f = |x: &[f64]| x[0] * x[0];
-        for opt in resumables() {
+        for opt in optimizers() {
             let mut state = opt.start(&[0.7], 40);
             let a = opt.resume_until(&mut state, &f, 20);
             let evals = state.evaluations();
@@ -393,7 +414,7 @@ mod tests {
     #[test]
     fn zero_dimensional_runs_converge_immediately() {
         let f = |_: &[f64]| 4.2;
-        for opt in resumables() {
+        for opt in optimizers() {
             let mut state = opt.start(&[], 10);
             let r = opt.resume_until(&mut state, &f, 10);
             assert_eq!(r.best_value, 4.2, "{}", opt.name());
@@ -406,7 +427,7 @@ mod tests {
     /// batch call; the batch objective is the scalar one mapped over the
     /// points (exactly what the batch evaluator guarantees bitwise).
     fn run_batched(
-        opt: &dyn Resumable,
+        opt: &dyn Optimizer,
         state: &mut OptimizerState,
         f: &(dyn Fn(&[f64]) -> f64 + Sync),
         target: usize,
@@ -448,7 +469,7 @@ mod tests {
         let f = |x: &[f64]| (x[0] - 0.8).powi(2) + (x[1] + 0.4).powi(2) + (x[0] * x[1]).sin();
         let initial = [0.3, -0.2];
         let budget = 90;
-        for opt in resumables() {
+        for opt in optimizers() {
             let mut scalar_state = opt.start(&initial, budget);
             let scalar = opt.resume_until(&mut scalar_state, &f, budget);
 
@@ -518,7 +539,7 @@ mod tests {
     #[test]
     fn batch_driver_on_converged_or_met_target_is_a_noop() {
         let f = |x: &[f64]| x[0] * x[0];
-        for opt in resumables() {
+        for opt in optimizers() {
             let mut state = opt.start(&[0.7], 40);
             let mut sizes = Vec::new();
             let a = run_batched(opt.as_ref(), &mut state, &f, 20, &mut sizes);
@@ -534,7 +555,7 @@ mod tests {
     #[test]
     fn zero_dimensional_batched_runs_converge_immediately() {
         let f = |_: &[f64]| 4.2;
-        for opt in resumables() {
+        for opt in optimizers() {
             let mut state = opt.start(&[], 10);
             let mut sizes = Vec::new();
             let r = run_batched(opt.as_ref(), &mut state, &f, 10, &mut sizes);

@@ -8,7 +8,7 @@
 //!
 //! The run is a sequence of atomic perturbation-pair iterations over an
 //! explicit [`SpsaState`] (iterate, gain counter, RNG stream), so a paused
-//! run [resumes](crate::Resumable) on the exact same stochastic trajectory.
+//! run [resumes](crate::Optimizer::resume_until) on the exact same stochastic trajectory.
 //! Each iteration's evaluation cost is known up front (2, plus 1 every tenth
 //! iteration for the iterate check), and an iteration only begins when it
 //! fits the remaining budget — SPSA never overshoots. (The pre-resumable
@@ -18,8 +18,7 @@
 //! from releases before the checkpoint API.)
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
+use crate::resumable::{BatchProposal, Optimizer, OptimizerState};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -76,7 +75,7 @@ impl Spsa {
     }
 }
 
-/// Checkpointed state of an SPSA run (see [`Resumable`]).
+/// Checkpointed state of an SPSA run (see [`Optimizer::resume_until`]).
 #[derive(Debug, Clone)]
 pub struct SpsaState {
     pub(crate) x: Vec<f64>,
@@ -162,7 +161,11 @@ impl Spsa {
     }
 }
 
-impl Resumable for Spsa {
+impl Optimizer for Spsa {
+    fn name(&self) -> &'static str {
+        "spsa"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::Spsa(SpsaState {
             x: initial.to_vec(),
@@ -308,22 +311,6 @@ impl Resumable for Spsa {
             }
             None => panic!("Spsa::observe_batch without a matching propose_batch"),
         }
-    }
-}
-
-impl Optimizer for Spsa {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "spsa"
     }
 }
 

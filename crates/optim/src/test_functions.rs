@@ -1,5 +1,15 @@
 //! Shared analytic test functions for optimizer tests.
 
+use crate::{Optimizer, OptimizerKind};
+
+/// Every bundled optimizer with default hyper-parameters.
+pub fn optimizers() -> Vec<Box<dyn Optimizer>> {
+    OptimizerKind::all()
+        .iter()
+        .map(|kind| kind.build())
+        .collect()
+}
+
 /// Sphere function: global minimum 0 at the origin.
 pub fn sphere(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum()
@@ -18,7 +28,7 @@ pub fn periodic(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CobylaOptimizer, NelderMead, Optimizer, OptimizerKind, RandomSearch, Spsa};
+    use crate::{CobylaOptimizer, NelderMead, RandomSearch, Spsa};
 
     #[test]
     fn analytic_minima() {

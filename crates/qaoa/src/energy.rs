@@ -10,7 +10,7 @@ use crate::ansatz::QaoaAnsatz;
 use crate::backend::Backend;
 use crate::error::QaoaError;
 use graphs::{ClassicalSolution, Graph, Problem, SolutionQuality};
-use optim::{OptimizationResult, OptimizationTrace, Optimizer, OptimizerState, Resumable};
+use optim::{OptimizationResult, Optimizer, OptimizerState};
 use serde::{Deserialize, Serialize};
 use statevec::{BatchStateVector, CompiledProgram, StateVector};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -143,8 +143,8 @@ impl EnergyEvaluator {
     /// The returned [`CompiledEnergy`] holds the lowered circuit, the cached
     /// problem diagonal and a reusable scratch state, so each
     /// [`CompiledEnergy::energy_flat`] call performs zero heap allocation.
-    /// [`EnergyEvaluator::train`] and its variants build this automatically;
-    /// it is public so benches and external drivers can time the fast path
+    /// [`EnergyEvaluator::begin_training`] builds this automatically; it is
+    /// public so benches and external drivers can time the fast path
     /// directly.
     pub fn compile(&self, ansatz: &QaoaAnsatz) -> Result<CompiledEnergy, QaoaError> {
         if self.backend != Backend::StateVector {
@@ -158,16 +158,6 @@ impl EnergyEvaluator {
         CompiledEnergy::build(self, ansatz)
     }
 
-    /// The compiled objective when it applies to this backend, `None`
-    /// otherwise (callers then fall back to the bind-per-call path).
-    fn fast_path(&self, ansatz: &QaoaAnsatz) -> Option<CompiledEnergy> {
-        if self.backend == Backend::StateVector {
-            CompiledEnergy::build(self, ansatz).ok()
-        } else {
-            None
-        }
-    }
-
     /// Approximation ratio of a given energy (Eq. 3), formed per the
     /// problem's [`graphs::RatioConvention`]. Zero when the classical
     /// bracket is degenerate.
@@ -178,80 +168,31 @@ impl EnergyEvaluator {
     /// Train the ansatz: maximize ⟨C⟩ over the `2p` angles using `optimizer`
     /// with `budget` objective evaluations (the paper uses COBYLA with 200
     /// steps), starting from the paper-style small-angle initial point.
+    ///
+    /// A one-rung [`TrainingSession`]: [`begin_training`](Self::begin_training)
+    /// then [`advance_batched`](TrainingSession::advance_batched) to the
+    /// whole budget.
     pub fn train(
         &self,
         ansatz: &QaoaAnsatz,
         optimizer: &dyn Optimizer,
         budget: usize,
     ) -> Result<TrainedCircuit, QaoaError> {
-        if self.problem.terms().is_empty() {
-            return Err(QaoaError::EmptyGraph);
-        }
-        let p = ansatz.depth();
-        // Small non-zero initial angles; γ and β start on different scales,
-        // a common heuristic for QAOA warm starts.
-        let initial = ansatz.default_initial_flat();
-
-        if p == 0 {
-            // Nothing to optimize: the plus state cuts half the weight.
-            let energy = self.energy(ansatz, &[], &[])?;
-            return Ok(TrainedCircuit {
-                energy,
-                gammas: vec![],
-                betas: vec![],
-                evaluations: 1,
-                approx_ratio: self.approx_ratio(energy),
-                classical_optimum: self.classical.best,
-                classical_quality: self.classical.quality,
-            });
-        }
-
-        // Compile the ansatz once: all optimizer iterations then run through
-        // the allocation-free fast path (state-vector backend only; other
-        // backends keep the bind-per-call route).
-        let fast = self.fast_path(ansatz);
-        // The optimizer minimizes, so negate the energy. Errors inside the
-        // objective cannot propagate through the closure; they are mapped to
-        // +inf so the optimizer avoids that region, and re-checked afterwards.
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match &fast {
-                Some(compiled) => compiled.energy_flat(params),
-                None => self.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let result = optimizer.minimize(&objective, &initial, budget);
-
-        let best_energy = -result.best_value;
-        if !best_energy.is_finite() {
-            return Err(QaoaError::Backend {
-                message: "optimizer failed to produce a finite energy".to_string(),
-            });
-        }
-        let (gammas, betas) = result.best_point.split_at(p);
-        Ok(TrainedCircuit {
-            energy: best_energy,
-            gammas: gammas.to_vec(),
-            betas: betas.to_vec(),
-            evaluations: result.evaluations,
-            approx_ratio: self.approx_ratio(best_energy),
-            classical_optimum: self.classical.best,
-            classical_quality: self.classical.quality,
-        })
+        self.begin_training(ansatz, optimizer, None, budget)?
+            .advance_batched(optimizer, budget.max(1))
     }
 
     /// Multi-start training: run [`EnergyEvaluator::train`]-style optimization
     /// from several deterministic starting points and keep the best result.
     ///
-    /// The evaluation budget is split evenly across the starts. The starting
-    /// points are (1) the small-angle warm start used by [`train`](Self::train),
-    /// (2) the best p = 1 angles from the closed-form grid of
-    /// [`crate::analytic::best_p1_angles_by_grid`] replicated across layers,
-    /// and (3) a mid-range point — a cheap stand-in for the multi-start /
-    /// interpolation heuristics commonly used to train deeper QAOA.
+    /// The evaluation budget is split evenly across the starts, one
+    /// [`TrainingSession`] each. The starting points are (1) the small-angle
+    /// warm start used by [`train`](Self::train), (2) the best p = 1 angles
+    /// from the closed-form grid of [`crate::analytic::best_p1_angles_by_grid`]
+    /// replicated across layers, and (3) a mid-range point — a cheap stand-in
+    /// for the multi-start / interpolation heuristics commonly used to train
+    /// deeper QAOA. Starts that reach no finite energy are skipped; the
+    /// reported evaluation count sums every start.
     pub fn train_multistart(
         &self,
         ansatz: &QaoaAnsatz,
@@ -282,41 +223,22 @@ impl EnergyEvaluator {
         }
         starts.push(analytic_start);
         starts.push(vec![0.5; 2 * p]);
-        starts.truncate(restarts.max(1));
-
-        let fast = self.fast_path(ansatz);
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match &fast {
-                Some(compiled) => compiled.energy_flat(params),
-                None => self.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
+        starts.truncate(restarts);
 
         let mut best: Option<TrainedCircuit> = None;
         let mut total_evaluations = 0usize;
         for start in &starts {
-            let result = optimizer.minimize(&objective, start, per_start_budget);
-            total_evaluations += result.evaluations;
-            let energy = -result.best_value;
-            if !energy.is_finite() {
+            let mut session =
+                self.begin_training(ansatz, optimizer, Some(start), per_start_budget)?;
+            let trained = session.advance_batched(optimizer, per_start_budget);
+            total_evaluations += session.evaluations();
+            // At depth ≥ 1 the only advance error is a non-finite best
+            // energy: skip that start.
+            let Ok(trained) = trained else {
                 continue;
-            }
-            let better = best.as_ref().map(|b| energy > b.energy).unwrap_or(true);
-            if better {
-                let (gammas, betas) = result.best_point.split_at(p);
-                best = Some(TrainedCircuit {
-                    energy,
-                    gammas: gammas.to_vec(),
-                    betas: betas.to_vec(),
-                    evaluations: 0, // filled below with the cumulative count
-                    approx_ratio: self.approx_ratio(energy),
-                    classical_optimum: self.classical.best,
-                    classical_quality: self.classical.quality,
-                });
+            };
+            if best.as_ref().is_none_or(|b| trained.energy > b.energy) {
+                best = Some(trained);
             }
         }
         let mut best = best.ok_or_else(|| QaoaError::Backend {
@@ -324,45 +246,6 @@ impl EnergyEvaluator {
         })?;
         best.evaluations = total_evaluations;
         Ok(best)
-    }
-
-    /// Train and also return the raw optimization trace (negated energies),
-    /// useful for convergence plots.
-    pub fn train_with_trace(
-        &self,
-        ansatz: &QaoaAnsatz,
-        optimizer: &dyn Optimizer,
-        budget: usize,
-    ) -> Result<(TrainedCircuit, OptimizationTrace), QaoaError> {
-        if self.problem.terms().is_empty() {
-            return Err(QaoaError::EmptyGraph);
-        }
-        let p = ansatz.depth();
-        let initial = ansatz.default_initial_flat();
-        let fast = self.fast_path(ansatz);
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match &fast {
-                Some(compiled) => compiled.energy_flat(params),
-                None => self.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let result = optimizer.minimize(&objective, &initial, budget);
-        let best_energy = -result.best_value;
-        let (gammas, betas) = result.best_point.split_at(p);
-        let trained = TrainedCircuit {
-            energy: best_energy,
-            gammas: gammas.to_vec(),
-            betas: betas.to_vec(),
-            evaluations: result.evaluations,
-            approx_ratio: self.approx_ratio(best_energy),
-            classical_optimum: self.classical.best,
-            classical_quality: self.classical.quality,
-        };
-        Ok((trained, result.trace))
     }
 
     /// Begin a **resumable** training run: the returned [`TrainingSession`]
@@ -375,11 +258,15 @@ impl EnergyEvaluator {
     /// [warm start](QaoaAnsatz::warm_start_flat) transferred from depth
     /// `p − 1`). `budget_hint` is the total evaluation budget the run will
     /// receive if it survives every pruning rung (forwarded to
-    /// [`Resumable::start`]). No objective evaluations are consumed here.
+    /// [`Optimizer::start`]). No objective evaluations are consumed here.
+    ///
+    /// On the state-vector backend the ansatz is compiled here, once per
+    /// session; a compile failure (for example a register above the dense
+    /// qubit limit) is returned rather than discovered per evaluation.
     pub fn begin_training(
         &self,
         ansatz: &QaoaAnsatz,
-        optimizer: &dyn Resumable,
+        optimizer: &dyn Optimizer,
         initial: Option<&[f64]>,
         budget_hint: usize,
     ) -> Result<TrainingSession, QaoaError> {
@@ -401,7 +288,9 @@ impl EnergyEvaluator {
             }
             None => ansatz.default_initial_flat(),
         };
-        let fast = self.fast_path(ansatz);
+        let fast = (self.backend == Backend::StateVector)
+            .then(|| CompiledEnergy::build(self, ansatz))
+            .transpose()?;
         let state = (p > 0).then(|| optimizer.start(&initial_vec, budget_hint));
         Ok(TrainingSession {
             evaluator: self.clone(),
@@ -428,7 +317,7 @@ pub struct TrainingProgress {
     pub converged: bool,
 }
 
-/// A boxed observer fired by [`TrainingSession::advance_in`] after every
+/// A boxed observer fired by [`TrainingSession::advance_batched_in`] after every
 /// advance (including no-op snapshots and the depth-0 fast path).
 ///
 /// Hooks travel with the session across threads (the search pipeline's
@@ -451,10 +340,12 @@ impl std::fmt::Debug for ProgressHook {
 /// A checkpointable training run of one ansatz on one graph.
 ///
 /// Created by [`EnergyEvaluator::begin_training`]. Each
-/// [`advance_in`](Self::advance_in) call continues the underlying
-/// [`Resumable`] optimizer until its cumulative evaluation count reaches a
-/// target — the successive-halving pipeline promotes a candidate simply by
-/// calling `advance_in` again with the next rung's larger target.
+/// [`advance_batched_in`](Self::advance_batched_in) call continues the
+/// underlying [`Optimizer`] run until its cumulative evaluation count reaches
+/// a target — the successive-halving pipeline promotes a candidate simply by
+/// calling it again with the next rung's larger target. Every QAOA training
+/// run in the workspace, one-shot [`EnergyEvaluator::train`] included, goes
+/// through that one method.
 #[derive(Debug)]
 pub struct TrainingSession {
     evaluator: EnergyEvaluator,
@@ -469,14 +360,14 @@ pub struct TrainingSession {
 }
 
 impl TrainingSession {
-    /// Register width of the trained ansatz (the size a scratch state passed
-    /// to [`advance_in`](Self::advance_in) must have).
+    /// Register width of the trained ansatz (the width the search pipeline
+    /// keys its per-worker [`BatchScratch`] pool by).
     pub fn num_qubits(&self) -> usize {
         self.ansatz.num_qubits()
     }
 
     /// Whether this session runs on the compiled state-vector fast path and
-    /// therefore profits from an external scratch state.
+    /// therefore profits from an external [`BatchScratch`].
     pub fn uses_compiled_scratch(&self) -> bool {
         self.fast.is_some()
     }
@@ -517,97 +408,14 @@ impl TrainingSession {
 
     /// Advance training until the optimizer has consumed `target_evaluations`
     /// cumulative objective evaluations (a target at or below the current
-    /// count is a snapshot no-op).
-    pub fn advance(
-        &mut self,
-        optimizer: &dyn Resumable,
-        target_evaluations: usize,
-    ) -> Result<TrainedCircuit, QaoaError> {
-        self.advance_in(optimizer, target_evaluations, None)
-    }
-
-    /// [`advance`](Self::advance) with an optional caller-provided scratch
-    /// state for the compiled fast path (per-worker buffer reuse in the
-    /// search pipeline). The scratch must have [`num_qubits`](Self::num_qubits)
-    /// qubits; it is ignored when the session does not use the compiled path.
-    pub fn advance_in(
-        &mut self,
-        optimizer: &dyn Resumable,
-        target_evaluations: usize,
-        scratch: Option<&mut StateVector>,
-    ) -> Result<TrainedCircuit, QaoaError> {
-        let TrainingSession {
-            evaluator,
-            ansatz,
-            fast,
-            state,
-            zero_depth,
-            hook,
-        } = self;
-
-        let Some(state) = state.as_mut() else {
-            // Depth 0: a single evaluation of the plus state, cached.
-            if zero_depth.is_none() {
-                let energy = evaluator.energy(ansatz, &[], &[])?;
-                *zero_depth = Some(TrainedCircuit {
-                    energy,
-                    gammas: vec![],
-                    betas: vec![],
-                    evaluations: 1,
-                    approx_ratio: evaluator.approx_ratio(energy),
-                    classical_optimum: evaluator.classical.best,
-                    classical_quality: evaluator.classical.quality,
-                });
-            }
-            let trained = zero_depth.clone().expect("just cached");
-            Self::emit_progress(hook, &trained, true);
-            return Ok(trained);
-        };
-
-        if let (Some(compiled), Some(buf)) = (&*fast, scratch.as_deref()) {
-            if buf.num_qubits() != compiled.num_qubits() {
-                return Err(QaoaError::Backend {
-                    message: format!(
-                        "scratch state has {} qubits, ansatz needs {}",
-                        buf.num_qubits(),
-                        compiled.num_qubits()
-                    ),
-                });
-            }
-        }
-
-        // The optimizer needs a `Fn + Sync` objective, so a mutable external
-        // scratch goes behind an (uncontended, worker-local) mutex.
-        let scratch_cell = scratch.map(Mutex::new);
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match (&*fast, &scratch_cell) {
-                (Some(compiled), Some(cell)) => {
-                    let mut buf = cell.lock().unwrap_or_else(|e| e.into_inner());
-                    compiled.energy_flat_in(params, &mut buf)
-                }
-                (Some(compiled), None) => compiled.energy_flat(params),
-                (None, _) => evaluator.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let result = optimizer.resume_until(state, &objective, target_evaluations);
-        let converged = state.converged();
-        let trained = Self::trained_from(evaluator, ansatz.depth(), result)?;
-        Self::emit_progress(hook, &trained, converged);
-        Ok(trained)
-    }
-
-    /// [`advance`](Self::advance) through the optimizer's **batch-step
+    /// count is a snapshot no-op), through the optimizer's **batch-step
     /// protocol**: probe sets proposed by the optimizer are evaluated in one
     /// batched statevector sweep ([`CompiledEnergy::energy_batch_in`]),
-    /// bit-identical to the scalar path — identical angles, energies and
-    /// evaluation counts for any batch size.
+    /// bit-identical to driving [`Optimizer::resume_until`] point by point —
+    /// identical angles, energies and evaluation counts for any batch size.
     pub fn advance_batched(
         &mut self,
-        optimizer: &dyn Resumable,
+        optimizer: &dyn Optimizer,
         target_evaluations: usize,
     ) -> Result<TrainedCircuit, QaoaError> {
         self.advance_batched_in(optimizer, target_evaluations, None)
@@ -615,11 +423,17 @@ impl TrainingSession {
 
     /// [`advance_batched`](Self::advance_batched) with an optional
     /// caller-provided [`BatchScratch`] (per-worker buffer reuse in the
-    /// search pipeline). Ignored when the session does not use the compiled
-    /// fast path.
+    /// search pipeline); without one, the call builds its own. Ignored when
+    /// the session does not use the compiled fast path.
+    ///
+    /// This is the one place a QAOA objective is built and an optimizer is
+    /// driven: the negated energy (errors map to `+∞`, so the optimizer
+    /// avoids that region and a non-finite best is reported afterwards),
+    /// evaluated on the compiled path when the session has one and by
+    /// binding the circuit per call otherwise.
     pub fn advance_batched_in(
         &mut self,
-        optimizer: &dyn Resumable,
+        optimizer: &dyn Optimizer,
         target_evaluations: usize,
         scratch: Option<&mut BatchScratch>,
     ) -> Result<TrainedCircuit, QaoaError> {
@@ -651,39 +465,31 @@ impl TrainingSession {
             return Ok(trained);
         };
 
-        // Both objectives share the scratch behind an (uncontended,
-        // worker-local) mutex; the batch driver only ever runs one at a time.
-        let scratch_cell = scratch.map(Mutex::new);
+        // Both objectives share one scratch (the caller's per-worker
+        // buffers, or this call's own) behind an uncontended mutex; the batch
+        // driver only ever runs one at a time.
+        let mut own_scratch = BatchScratch::new();
+        let scratch = Mutex::new(scratch.unwrap_or(&mut own_scratch));
         let scalar_objective = |params: &[f64]| -> f64 {
-            let energy = match (&*fast, &scratch_cell) {
-                (Some(compiled), Some(cell)) => {
-                    let mut buf = cell.lock().unwrap_or_else(|e| e.into_inner());
+            let energy = match &*fast {
+                Some(compiled) => {
+                    let mut buf = scratch.lock().unwrap_or_else(|e| e.into_inner());
                     let BatchScratch { scalar, values, .. } = &mut **buf;
                     compiled.energy_flat_with(params, scalar, values)
                 }
-                (Some(compiled), None) => compiled.energy_flat(params),
-                (None, _) => evaluator.energy_flat(ansatz, params),
+                None => evaluator.energy_flat(ansatz, params),
             };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
+            energy.map_or(f64::INFINITY, |e| -e)
         };
         let mut batch_objective = |points: &[Vec<f64>]| -> Vec<f64> {
-            let energies = match (&*fast, &scratch_cell) {
-                (Some(compiled), Some(cell)) => {
-                    let mut buf = cell.lock().unwrap_or_else(|e| e.into_inner());
-                    compiled.energy_batch_in(points, &mut buf)
-                }
-                (Some(compiled), None) => compiled.energy_batch(points),
-                (None, _) => {
-                    // No compiled sweep to amortize: evaluate point by point,
-                    // exactly as the scalar protocol would.
-                    return points.iter().map(|p| scalar_objective(p)).collect();
-                }
+            let Some(compiled) = &*fast else {
+                // No compiled sweep to amortize: evaluate point by point,
+                // exactly as the scalar protocol would.
+                return points.iter().map(|p| scalar_objective(p)).collect();
             };
-            match energies {
-                Ok(es) => es.into_iter().map(|e| -e).collect(),
+            let mut buf = scratch.lock().unwrap_or_else(|e| e.into_inner());
+            match compiled.energy_batch_in(points, &mut buf) {
+                Ok(energies) => energies.into_iter().map(|e| -e).collect(),
                 Err(_) => vec![f64::INFINITY; points.len()],
             }
         };
@@ -756,8 +562,8 @@ pub struct CompiledEnergy {
     /// sequential optimizers and negligible next to the `2^n` kernel work.
     /// The `2^n` state is allocated lazily on the first
     /// [`CompiledEnergy::energy_flat`] call: callers that always supply an
-    /// external scratch via [`CompiledEnergy::energy_flat_in`] (the search
-    /// pipeline's per-worker buffers) never pay for it.
+    /// external scratch (training sessions evaluate through a
+    /// [`BatchScratch`]) never pay for it.
     scratch: Mutex<Scratch>,
 }
 
@@ -775,8 +581,7 @@ struct Scratch {
 /// tiles, and the flattened slot-value staging area.
 ///
 /// One `BatchScratch` per worker serves every candidate trained on the same
-/// graph size (the batch buffer is resized in place across tile sizes), the
-/// batched analogue of the per-worker [`StateVector`] scratch.
+/// graph size (the batch buffer is resized in place across tile sizes).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// The `2^n × B` amplitude buffer, amplitude-major × batch-minor.
@@ -868,10 +673,10 @@ impl CompiledEnergy {
     /// ⟨C⟩ for a flat parameter vector, simulated into a caller-provided
     /// scratch state (must have this program's register width).
     ///
-    /// This is the zero-allocation path the search pipeline's work-stealing
-    /// workers use: one `2^n` buffer per worker, shared across every
-    /// candidate trained on the same graph size, instead of one buffer per
-    /// compiled objective.
+    /// Zero-allocation with a reused buffer: one `2^n` state can serve every
+    /// candidate of the same graph size. Training sessions evaluate through
+    /// a [`BatchScratch`] instead; this is the scalar reference the batch
+    /// path is pinned against.
     pub fn energy_flat_in(
         &self,
         params: &[f64],
@@ -1011,7 +816,54 @@ impl CompiledEnergy {
 mod tests {
     use super::*;
     use crate::mixer::Mixer;
-    use optim::{CobylaOptimizer, NelderMead};
+    use optim::{CobylaOptimizer, NelderMead, OptimizerKind};
+
+    /// The independent reference the session tests compare against: the
+    /// optimizer's own `start`/`resume_until`, driven directly over the
+    /// negated energy (compiled on the state-vector backend, bound per call
+    /// otherwise). Returns the result after each target in turn.
+    fn reference_rungs(
+        eval: &EnergyEvaluator,
+        ansatz: &QaoaAnsatz,
+        opt: &dyn Optimizer,
+        initial: &[f64],
+        budget: usize,
+        targets: &[usize],
+    ) -> Vec<OptimizationResult> {
+        let compiled =
+            (eval.backend() == Backend::StateVector).then(|| eval.compile(ansatz).unwrap());
+        let objective = |p: &[f64]| -> f64 {
+            let energy = match &compiled {
+                Some(c) => c.energy_flat(p),
+                None => eval.energy_flat(ansatz, p),
+            };
+            -energy.unwrap()
+        };
+        let mut state = opt.start(initial, budget);
+        targets
+            .iter()
+            .map(|&t| opt.resume_until(&mut state, &objective, t))
+            .collect()
+    }
+
+    fn assert_matches_reference(
+        trained: &TrainedCircuit,
+        reference: &OptimizationResult,
+        ctx: &str,
+    ) {
+        let p = trained.gammas.len();
+        assert_eq!(
+            trained.energy.to_bits(),
+            (-reference.best_value).to_bits(),
+            "{ctx}: energy"
+        );
+        assert_eq!(trained.gammas, reference.best_point[..p], "{ctx}: gammas");
+        assert_eq!(trained.betas, reference.best_point[p..], "{ctx}: betas");
+        assert_eq!(
+            trained.evaluations, reference.evaluations,
+            "{ctx}: evaluations"
+        );
+    }
 
     #[test]
     fn zero_angles_give_half_total_weight() {
@@ -1073,21 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn train_with_trace_returns_monotone_best_curve() {
-        let graph = Graph::cycle(5);
-        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-        let (trained, trace) = eval
-            .train_with_trace(&ansatz, &CobylaOptimizer::default(), 80)
-            .unwrap();
-        assert!(!trace.is_empty());
-        assert!((trace.best().unwrap() + trained.energy).abs() < 1e-9);
-        for w in trace.best_curve().windows(2) {
-            assert!(w[1] <= w[0] + 1e-12);
-        }
-    }
-
-    #[test]
     fn depth_zero_training_returns_plus_state_energy() {
         let graph = Graph::cycle(4);
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
@@ -1134,18 +971,17 @@ mod tests {
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
         let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
         let opt = CobylaOptimizer::default();
-
-        let one_shot = eval.train(&ansatz, &opt, 120).unwrap();
+        let initial = ansatz.default_initial_flat();
+        let reference = reference_rungs(&eval, &ansatz, &opt, &initial, 120, &[120]);
 
         let mut session = eval.begin_training(&ansatz, &opt, None, 120).unwrap();
-        session.advance(&opt, 30).unwrap();
-        session.advance(&opt, 70).unwrap();
-        let resumed = session.advance(&opt, 120).unwrap();
+        session.advance_batched(&opt, 30).unwrap();
+        session.advance_batched(&opt, 70).unwrap();
+        let resumed = session.advance_batched(&opt, 120).unwrap();
+        assert_matches_reference(&resumed, &reference[0], "rungs 30/70/120");
 
-        assert_eq!(one_shot.energy, resumed.energy, "bitwise equality expected");
-        assert_eq!(one_shot.gammas, resumed.gammas);
-        assert_eq!(one_shot.betas, resumed.betas);
-        assert_eq!(one_shot.evaluations, resumed.evaluations);
+        let one_shot = eval.train(&ansatz, &opt, 120).unwrap();
+        assert_matches_reference(&one_shot, &reference[0], "train");
     }
 
     #[test]
@@ -1153,30 +989,24 @@ mod tests {
         let graph = Graph::cycle(6);
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
         let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-        let opt = CobylaOptimizer::default();
+        // Nelder–Mead batches its initial simplex, so both scratch kinds
+        // see a multi-point sweep.
+        let opt = NelderMead::default();
 
         let mut internal = eval.begin_training(&ansatz, &opt, None, 60).unwrap();
-        let a = internal.advance(&opt, 60).unwrap();
+        let a = internal.advance_batched(&opt, 60).unwrap();
 
         let mut external = eval.begin_training(&ansatz, &opt, None, 60).unwrap();
         assert!(external.uses_compiled_scratch());
-        let mut buf = StateVector::zero_state(6).unwrap();
-        let b = external.advance_in(&opt, 60, Some(&mut buf)).unwrap();
+        let mut buf = BatchScratch::new();
+        let b = external
+            .advance_batched_in(&opt, 60, Some(&mut buf))
+            .unwrap();
 
-        assert_eq!(a.energy, b.energy);
+        assert_eq!(a.energy.to_bits(), b.energy.to_bits());
         assert_eq!(a.gammas, b.gammas);
         assert_eq!(a.betas, b.betas);
-    }
-
-    #[test]
-    fn session_rejects_mis_sized_scratch() {
-        let graph = Graph::cycle(5);
-        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-        let opt = CobylaOptimizer::default();
-        let mut session = eval.begin_training(&ansatz, &opt, None, 40).unwrap();
-        let mut wrong = StateVector::zero_state(3).unwrap();
-        assert!(session.advance_in(&opt, 40, Some(&mut wrong)).is_err());
+        assert_eq!(a.evaluations, b.evaluations);
     }
 
     #[test]
@@ -1190,7 +1020,7 @@ mod tests {
         let deeper = QaoaAnsatz::new(&graph, 2, Mixer::baseline());
         let warm = deeper.warm_start_flat(&shallow.gammas, &shallow.betas);
         let mut session = eval.begin_training(&deeper, &opt, Some(&warm), 80).unwrap();
-        let trained = session.advance(&opt, 80).unwrap();
+        let trained = session.advance_batched(&opt, 80).unwrap();
         // Warm-started depth-2 must not fall behind the depth-1 optimum by
         // more than optimizer noise.
         assert!(
@@ -1220,11 +1050,11 @@ mod tests {
         let ansatz = QaoaAnsatz::new(&graph, 0, Mixer::baseline());
         let opt = CobylaOptimizer::default();
         let mut session = eval.begin_training(&ansatz, &opt, None, 10).unwrap();
-        let t = session.advance(&opt, 10).unwrap();
+        let t = session.advance_batched(&opt, 10).unwrap();
         assert!((t.energy - 2.0).abs() < 1e-10);
         assert_eq!(session.evaluations(), 1);
         // Advancing again does not re-evaluate.
-        session.advance(&opt, 50).unwrap();
+        session.advance_batched(&opt, 50).unwrap();
         assert_eq!(session.evaluations(), 1);
     }
 
@@ -1242,8 +1072,8 @@ mod tests {
             sink.lock().unwrap().push(p.clone());
         })));
 
-        let a = session.advance(&opt, 20).unwrap();
-        let b = session.advance(&opt, 60).unwrap();
+        let a = session.advance_batched(&opt, 20).unwrap();
+        let b = session.advance_batched(&opt, 60).unwrap();
         let seen = log.lock().unwrap().clone();
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0].evaluations, a.evaluations);
@@ -1254,7 +1084,7 @@ mod tests {
 
         // Clearing the hook stops the stream; the session still advances.
         session.set_progress_hook(None);
-        session.advance(&opt, 60).unwrap();
+        session.advance_batched(&opt, 60).unwrap();
         assert_eq!(log.lock().unwrap().len(), 2);
     }
 
@@ -1270,7 +1100,7 @@ mod tests {
         session.set_progress_hook(Some(ProgressHook::new(move |p| {
             sink.lock().unwrap().push(p.clone());
         })));
-        session.advance(&opt, 10).unwrap();
+        session.advance_batched(&opt, 10).unwrap();
         let seen = log.lock().unwrap().clone();
         assert_eq!(seen.len(), 1);
         assert!(seen[0].converged);
@@ -1285,7 +1115,7 @@ mod tests {
         let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
         let opt = CobylaOptimizer::default();
         let mut session = eval.begin_training(&ansatz, &opt, None, 50).unwrap();
-        let advanced = session.advance(&opt, 50).unwrap();
+        let advanced = session.advance_batched(&opt, 50).unwrap();
         let snapshot = session.best().unwrap();
         assert_eq!(advanced.energy, snapshot.energy);
         assert_eq!(advanced.evaluations, snapshot.evaluations);
@@ -1299,9 +1129,10 @@ mod tests {
         let opt = CobylaOptimizer::default();
         let mut session = eval.begin_training(&ansatz, &opt, None, 60).unwrap();
         assert!(!session.uses_compiled_scratch());
-        let trained = session.advance(&opt, 60).unwrap();
-        let one_shot = eval.train(&ansatz, &opt, 60).unwrap();
-        assert_eq!(trained.energy, one_shot.energy);
+        let trained = session.advance_batched(&opt, 60).unwrap();
+        let initial = ansatz.default_initial_flat();
+        let reference = reference_rungs(&eval, &ansatz, &opt, &initial, 60, &[60]);
+        assert_matches_reference(&trained, &reference[0], "tensor network");
     }
 
     #[test]
@@ -1456,36 +1287,33 @@ mod tests {
     }
 
     #[test]
-    fn advance_batched_is_bitwise_identical_to_advance() {
+    fn advance_batched_is_bitwise_identical_to_resume_until() {
         let graph = Graph::erdos_renyi(7, 0.5, 11);
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
         let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
-        for kind in optim::OptimizerKind::all() {
-            let opt = kind.build_resumable();
-            let mut scalar = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
-            scalar.advance(&*opt, 30).unwrap();
-            let a = scalar.advance(&*opt, 90).unwrap();
+        let initial = ansatz.default_initial_flat();
+        for kind in OptimizerKind::all() {
+            let opt = kind.build();
+            let reference = reference_rungs(&eval, &ansatz, &*opt, &initial, 90, &[30, 90]);
 
             let mut batched = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
             let mut scratch = BatchScratch::new();
-            batched
+            let a = batched
                 .advance_batched_in(&*opt, 30, Some(&mut scratch))
                 .unwrap();
             let b = batched
                 .advance_batched_in(&*opt, 90, Some(&mut scratch))
                 .unwrap();
+            assert_matches_reference(&a, &reference[0], &format!("{kind} rung 30"));
+            assert_matches_reference(&b, &reference[1], &format!("{kind} rung 90"));
 
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{kind}");
-            assert_eq!(a.gammas, b.gammas, "{kind}");
-            assert_eq!(a.betas, b.betas, "{kind}");
-            assert_eq!(a.evaluations, b.evaluations, "{kind}");
-
-            // Mixed rungs interleave too: batched then scalar.
+            // Internal-scratch and external-scratch rungs interleave too.
             let mut mixed = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
             mixed.advance_batched(&*opt, 30).unwrap();
-            let c = mixed.advance(&*opt, 90).unwrap();
-            assert_eq!(a.energy.to_bits(), c.energy.to_bits(), "{kind} mixed");
-            assert_eq!(a.evaluations, c.evaluations, "{kind} mixed");
+            let c = mixed
+                .advance_batched_in(&*opt, 90, Some(&mut scratch))
+                .unwrap();
+            assert_matches_reference(&c, &reference[1], &format!("{kind} mixed scratch"));
         }
     }
 
@@ -1498,10 +1326,82 @@ mod tests {
         let mut batched = eval.begin_training(&ansatz, &opt, None, 40).unwrap();
         assert!(!batched.uses_compiled_scratch());
         let b = batched.advance_batched(&opt, 40).unwrap();
-        let mut scalar = eval.begin_training(&ansatz, &opt, None, 40).unwrap();
-        let a = scalar.advance(&opt, 40).unwrap();
-        assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-        assert_eq!(a.evaluations, b.evaluations);
+        let initial = ansatz.default_initial_flat();
+        let reference = reference_rungs(&eval, &ansatz, &opt, &initial, 40, &[40]);
+        assert_matches_reference(&b, &reference[0], "spsa on tensor network");
+    }
+
+    /// Multi-start training is one session per start: bitwise the best of
+    /// independent `minimize` runs from the same three start points, with
+    /// every start's evaluations summed.
+    #[test]
+    fn train_multistart_equals_best_of_independent_minimize_runs() {
+        let graph = Graph::erdos_renyi(7, 0.5, 31);
+        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+        let p = 2;
+        let ansatz = QaoaAnsatz::new(&graph, p, Mixer::baseline());
+        let (g1, b1, _) = crate::analytic::best_p1_angles_by_grid(&graph, 16);
+        let ramp: Vec<f64> = (0..p)
+            .map(|k| g1 * (k as f64 + 1.0) / p as f64)
+            .chain((0..p).map(|k| {
+                let frac = (k as f64 + 1.0) / p as f64;
+                b1 * (1.0 - frac) + 0.1 * frac
+            }))
+            .collect();
+        let starts = [ansatz.default_initial_flat(), ramp, vec![0.5; 2 * p]];
+        let compiled = eval.compile(&ansatz).unwrap();
+        let objective = |x: &[f64]| -compiled.energy_flat(x).unwrap();
+        for kind in OptimizerKind::all() {
+            let opt = kind.build();
+            let runs: Vec<OptimizationResult> = starts
+                .iter()
+                .map(|start| opt.minimize(&objective, start, 60))
+                .collect();
+            let best = runs
+                .iter()
+                .reduce(|best, r| {
+                    if -r.best_value > -best.best_value {
+                        r
+                    } else {
+                        best
+                    }
+                })
+                .unwrap();
+            let multi = eval.train_multistart(&ansatz, &*opt, 180, 3).unwrap();
+            assert_eq!(
+                multi.energy.to_bits(),
+                (-best.best_value).to_bits(),
+                "{kind}: energy"
+            );
+            assert_eq!(multi.gammas, best.best_point[..p], "{kind}: gammas");
+            assert_eq!(multi.betas, best.best_point[p..], "{kind}: betas");
+            let total: usize = runs.iter().map(|r| r.evaluations).sum();
+            assert_eq!(multi.evaluations, total, "{kind}: summed evaluations");
+        }
+    }
+
+    /// A register above the dense limit fails at session start with the
+    /// simulator's qubit-limit error, instead of falling back to a path
+    /// that fails on every evaluation.
+    #[test]
+    fn state_vector_training_above_the_dense_limit_fails_fast() {
+        let n = statevec::state::MAX_DENSE_QUBITS + 1;
+        let graph = Graph::cycle(n);
+        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
+        let limit = statevec::SimulatorError::TooManyQubits {
+            num_qubits: n,
+            max: statevec::state::MAX_DENSE_QUBITS,
+        }
+        .to_string();
+        let opt = CobylaOptimizer::default();
+        match eval.train(&ansatz, &opt, 20) {
+            Err(QaoaError::Backend { message }) => {
+                assert!(message.contains(&limit), "{message}")
+            }
+            other => panic!("expected the qubit-limit error, got {other:?}"),
+        }
+        assert!(eval.begin_training(&ansatz, &opt, None, 20).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use qaoa::mixer::Mixer;
 use qaoa::{Backend, BatchScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// System allocator wrapper that counts allocations while armed.
 struct CountingAlloc;
@@ -47,6 +48,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counters are process-wide, so a test's measurement must not overlap
+/// another test's allocations: each test holds this lock for its whole body.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+    EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Run `f` with allocation counting armed; returns (allocations, bytes).
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
     ALLOCS.store(0, Ordering::Relaxed);
@@ -63,6 +71,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
 
 #[test]
 fn energy_batch_in_reuses_scratch_buffers_after_warmup() {
+    let _exclusive = exclusive();
     // Below the rayon threshold so the sweep stays on this thread: counting
     // must see every allocation the evaluation makes.
     let n = 8;
@@ -106,6 +115,7 @@ fn energy_batch_in_reuses_scratch_buffers_after_warmup() {
 
 #[test]
 fn warm_scalar_energy_flat_in_stays_allocation_free() {
+    let _exclusive = exclusive();
     // The pre-existing scalar contract, pinned here with the same counter:
     // an external-scratch evaluation allocates nothing at all.
     let n = 8;

@@ -10,7 +10,7 @@
 use crate::error::SearchError;
 use crate::sync::lock_recover;
 use graphs::{Graph, ProblemKind};
-use optim::{CobylaOptimizer, NelderMead, Optimizer, OptimizerKind, RandomSearch, Resumable, Spsa};
+use optim::{Optimizer, OptimizerKind};
 use qaoa::ansatz::QaoaAnsatz;
 use qaoa::energy::{EnergyEvaluator, TrainedCircuit, TrainingSession};
 use qaoa::mixer::Mixer;
@@ -102,24 +102,6 @@ impl Default for EvaluatorConfig {
             restarts: 1,
             problem: ProblemKind::MaxCut,
         }
-    }
-}
-
-impl EvaluatorConfig {
-    fn build_optimizer(&self) -> Box<dyn Optimizer> {
-        match self.optimizer {
-            OptimizerKind::Cobyla => Box::new(CobylaOptimizer::default()),
-            OptimizerKind::NelderMead => Box::new(NelderMead::default()),
-            OptimizerKind::Spsa => Box::new(Spsa::default()),
-            OptimizerKind::RandomSearch => Box::new(RandomSearch::default()),
-            OptimizerKind::GridSearch => Box::new(optim::GridSearch::default()),
-        }
-    }
-
-    /// The configured optimizer behind the checkpoint/resume interface the
-    /// successive-halving pipeline drives.
-    pub fn build_resumable(&self) -> Box<dyn Resumable> {
-        self.optimizer.build_resumable()
     }
 }
 
@@ -379,30 +361,27 @@ impl Evaluator {
     }
 
     /// Train `mixer` at `depth` on a single graph (against the configured
-    /// problem family's instance for that graph).
+    /// problem family's instance for that graph): one
+    /// [`begin_session`](Self::begin_session) advanced to the full budget,
+    /// or [`EnergyEvaluator::train_multistart`] (a session per start) when
+    /// restarts are configured.
     pub fn evaluate_on_graph(
         &self,
         graph: &Graph,
         mixer: &Mixer,
         depth: usize,
     ) -> Result<TrainedCircuit, SearchError> {
-        let energy_eval = self.energy_evaluator_for(graph);
-        let ansatz = QaoaAnsatz::for_problem(energy_eval.problem(), depth, mixer.clone())?;
-        let optimizer = self.config.build_optimizer();
-        if self.config.restarts > 1 {
-            energy_eval
-                .train_multistart(
-                    &ansatz,
-                    optimizer.as_ref(),
-                    self.config.budget,
-                    self.config.restarts,
-                )
-                .map_err(SearchError::from)
+        let optimizer = self.config.optimizer.build();
+        let budget = self.config.budget;
+        let trained = if self.config.restarts > 1 {
+            let energy_eval = self.energy_evaluator_for(graph);
+            let ansatz = QaoaAnsatz::for_problem(energy_eval.problem(), depth, mixer.clone())?;
+            energy_eval.train_multistart(&ansatz, optimizer.as_ref(), budget, self.config.restarts)
         } else {
-            energy_eval
-                .train(&ansatz, optimizer.as_ref(), self.config.budget)
-                .map_err(SearchError::from)
-        }
+            self.begin_session(graph, mixer, depth, None, budget, optimizer.as_ref())?
+                .advance_batched(optimizer.as_ref(), budget.max(1))
+        };
+        trained.map_err(SearchError::from)
     }
 
     /// Begin a resumable training session for `mixer` at `depth` on one
@@ -415,11 +394,11 @@ impl Evaluator {
     ///
     /// `optimizer` must be the same instance (or an identically configured
     /// one) later passed to every
-    /// [`TrainingSession::advance_in`](qaoa::energy::TrainingSession::advance_in)
+    /// [`TrainingSession::advance_batched_in`](qaoa::energy::TrainingSession::advance_batched_in)
     /// call — checkpoint layout and resume behaviour belong to one
     /// optimizer configuration. The pipeline builds it once via
-    /// [`EvaluatorConfig::build_resumable`] and shares it across all
-    /// sessions and rungs.
+    /// [`OptimizerKind::build`] and shares it across all sessions and
+    /// rungs.
     pub fn begin_session(
         &self,
         graph: &Graph,
@@ -427,7 +406,7 @@ impl Evaluator {
         depth: usize,
         warm_from: Option<(&[f64], &[f64])>,
         budget_hint: usize,
-        optimizer: &dyn Resumable,
+        optimizer: &dyn Optimizer,
     ) -> Result<TrainingSession, SearchError> {
         let energy_eval = self.energy_evaluator_for(graph);
         let ansatz = QaoaAnsatz::for_problem(energy_eval.problem(), depth, mixer.clone())?;

@@ -23,7 +23,7 @@
 //! extended into a **budget-aware pipeline**: successive-halving pruning
 //! over resumable optimizer sessions, warm starts transferred from the
 //! previous depth, an optional learned predictor gate, and a work-stealing
-//! executor ([`worksteal`]) with per-worker scratch states). Started
+//! executor ([`worksteal`]) with per-worker scratch buffers). Started
 //! sessions stream typed [`events::SearchEvent`]s, cancel cooperatively,
 //! and checkpoint/resume bit-identically; results are deterministic for a
 //! fixed seed regardless of the thread count, and

@@ -17,10 +17,10 @@
 //! 3. **Successive halving**: all sessions are advanced to the first rung's
 //!    cumulative budget, candidates are ranked by mean energy, the top
 //!    `1/eta` fraction is promoted, and promoted sessions *continue* (via
-//!    the [`optim::Resumable`] checkpoint API — no restart) at the next
+//!    the [`optim::Optimizer`] checkpoint API — no restart) at the next
 //!    rung's budget, until the final rung equals the configured full budget.
 //! 4. Each rung's session advances run on the work-stealing executor
-//!    ([`crate::worksteal`]) with per-worker scratch states; outcomes are
+//!    ([`crate::worksteal`]) with per-worker batch scratch; outcomes are
 //!    deterministic for a fixed seed regardless of thread count.
 //!
 //! Pruned candidates keep their partial results (and record the rung they
@@ -286,7 +286,7 @@ impl BudgetedScheduler {
         // One optimizer instance drives every session's start *and* every
         // resume: checkpoints are only meaningful under the configuration
         // that created them.
-        let optimizer = self.config.evaluator.build_resumable();
+        let optimizer = self.config.evaluator.optimizer.build();
         let optimizer = optimizer.as_ref();
 
         // Per-session progress observations, gathered through the

@@ -18,7 +18,7 @@
 //!   ranker's learned state, the warm-start source — is captured, so
 //!   resume-after-kill reproduces the uninterrupted run **bit for bit**
 //!   (proposal is a pure function of the config; per-depth training builds
-//!   on PR 3's `Resumable`/`TrainingSession` state machines, which never
+//!   on the `optim::Optimizer`/`TrainingSession` state machines, which never
 //!   leak thread-count or wall-clock state into results).
 //!
 //! Execution mode ([`ExecutionMode::Serial`] — Algorithm 1 as written —

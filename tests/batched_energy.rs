@@ -9,13 +9,17 @@
 //!    as exact `f64` bit patterns, for batch sizes 1, 2, 7 and 64, for every
 //!    shipped problem family;
 //! 2. training through the optimizer batch-step protocol
-//!    (`TrainingSession::advance_batched_in`) ≡ scalar `advance_in`, for all
-//!    five bundled optimizers, including interrupted/mixed rung sequences;
+//!    (`TrainingSession::advance_batched_in`) ≡ the optimizer's own scalar
+//!    `start`/`resume_until` driven directly over the negated compiled
+//!    energy, for all five bundled optimizers, including interrupted and
+//!    mixed rung sequences;
 //! 3. the full search pipeline (which now routes through the batch path)
 //!    stays thread-count-deterministic — the pinned byte-exact searches in
 //!    `tests/problems.rs` complete this claim against pre-batching captures.
 
+use qarchsearch_suite::optim::OptimizationResult;
 use qarchsearch_suite::prelude::*;
+use qarchsearch_suite::qaoa::energy::TrainedCircuit;
 
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 
@@ -76,6 +80,41 @@ fn energy_batch_internal_and_external_scratch_agree_bitwise() {
     }
 }
 
+/// The independent scalar reference: the optimizer's own `start` +
+/// `resume_until`, called back one point at a time with the negated
+/// compiled energy. Returns the result after each target in turn.
+fn scalar_reference(
+    compiled: &CompiledEnergy,
+    opt: &dyn Optimizer,
+    initial: &[f64],
+    budget: usize,
+    targets: &[usize],
+) -> Vec<OptimizationResult> {
+    let objective = |p: &[f64]| -compiled.energy_flat(p).unwrap();
+    let mut state = opt.start(initial, budget);
+    targets
+        .iter()
+        .map(|&t| opt.resume_until(&mut state, &objective, t))
+        .collect()
+}
+
+/// Bitwise comparison of a trained session snapshot with an optimizer
+/// result over the negated energy.
+fn assert_trained_matches(trained: &TrainedCircuit, reference: &OptimizationResult, ctx: &str) {
+    let p = trained.gammas.len();
+    assert_eq!(
+        trained.energy.to_bits(),
+        (-reference.best_value).to_bits(),
+        "{ctx}: energy"
+    );
+    assert_eq!(trained.gammas, reference.best_point[..p], "{ctx}: gammas");
+    assert_eq!(trained.betas, reference.best_point[p..], "{ctx}: betas");
+    assert_eq!(
+        trained.evaluations, reference.evaluations,
+        "{ctx}: evaluations"
+    );
+}
+
 /// One training rung per optimizer through the batch protocol vs the scalar
 /// protocol: identical energies, angles and evaluation counts to the bit.
 #[test]
@@ -89,10 +128,12 @@ fn batched_training_is_bit_identical_for_all_five_optimizers() {
         let eval =
             EnergyEvaluator::for_problem(&graph, problem.clone(), Backend::StateVector).unwrap();
         let ansatz = QaoaAnsatz::for_problem(&problem, 2, Mixer::qnas()).unwrap();
+        let compiled = eval.compile(&ansatz).unwrap();
+        let initial = ansatz.default_initial_flat();
         for opt_kind in OptimizerKind::all() {
-            let opt = opt_kind.build_resumable();
-            let mut scalar = eval.begin_training(&ansatz, &*opt, None, 80).unwrap();
-            let a = scalar.advance(&*opt, 80).unwrap();
+            let opt = opt_kind.build();
+            let reference = scalar_reference(&compiled, &*opt, &initial, 80, &[80]);
+            let a = &reference[0];
 
             let mut batched = eval.begin_training(&ansatz, &*opt, None, 80).unwrap();
             let mut scratch = BatchScratch::new();
@@ -101,12 +142,9 @@ fn batched_training_is_bit_identical_for_all_five_optimizers() {
                 .unwrap();
 
             let ctx = format!("{} with {opt_kind}", problem.name());
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{ctx}: energy");
-            assert_eq!(a.gammas, b.gammas, "{ctx}: gammas");
-            assert_eq!(a.betas, b.betas, "{ctx}: betas");
-            assert_eq!(a.evaluations, b.evaluations, "{ctx}: evaluations");
+            assert_trained_matches(&b, a, &ctx);
             assert_eq!(
-                a.approx_ratio.to_bits(),
+                eval.approx_ratio(-a.best_value).to_bits(),
                 b.approx_ratio.to_bits(),
                 "{ctx}: ratio"
             );
@@ -115,37 +153,60 @@ fn batched_training_is_bit_identical_for_all_five_optimizers() {
 }
 
 /// Interrupted runs stay interchangeable: a session advanced in batched
-/// rungs, scalar rungs, or any mix lands on the same bits.
+/// rungs — with internal or per-worker scratch, in any mix — lands on the
+/// same bits as the scalar reference at every rung, and the raw optimizer
+/// state driven through any mix of batched and scalar legs over the same
+/// compiled energy does too.
 #[test]
 fn mixed_batched_and_scalar_rungs_are_bit_identical() {
+    const RUNGS: [usize; 3] = [25, 60, 90];
     let graph = Graph::erdos_renyi(7, 0.5, 29);
     let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
     let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
+    let compiled = eval.compile(&ansatz).unwrap();
+    let initial = ansatz.default_initial_flat();
+    let scalar = |p: &[f64]| -compiled.energy_flat(p).unwrap();
+    let mut batch = |points: &[Vec<f64>]| -> Vec<f64> {
+        let energies = compiled.energy_batch(points).unwrap();
+        energies.into_iter().map(|e| -e).collect()
+    };
     for opt_kind in OptimizerKind::all() {
-        let opt = opt_kind.build_resumable();
-        let mut reference = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
-        reference.advance(&*opt, 25).unwrap();
-        reference.advance(&*opt, 60).unwrap();
-        let r = reference.advance(&*opt, 90).unwrap();
+        let opt = opt_kind.build();
+        let reference = scalar_reference(&compiled, &*opt, &initial, 90, &RUNGS);
 
-        // batched → scalar → batched
-        let mut mixed = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
-        mixed.advance_batched(&*opt, 25).unwrap();
-        mixed.advance(&*opt, 60).unwrap();
-        let m = mixed.advance_batched(&*opt, 90).unwrap();
+        // Session rungs: internal scratch → per-worker scratch → internal.
+        let mut session = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
+        let mut scratch = BatchScratch::new();
+        let rungs = [
+            session.advance_batched(&*opt, RUNGS[0]).unwrap(),
+            session
+                .advance_batched_in(&*opt, RUNGS[1], Some(&mut scratch))
+                .unwrap(),
+            session.advance_batched(&*opt, RUNGS[2]).unwrap(),
+        ];
+        for ((trained, r), target) in rungs.iter().zip(&reference).zip(RUNGS) {
+            assert_trained_matches(trained, r, &format!("{opt_kind} session rung {target}"));
+        }
 
-        // scalar → batched → scalar
-        let mut other = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
-        other.advance(&*opt, 25).unwrap();
-        other.advance_batched(&*opt, 60).unwrap();
-        let o = other.advance(&*opt, 90).unwrap();
-
-        assert_eq!(r.energy.to_bits(), m.energy.to_bits(), "{opt_kind} b-s-b");
-        assert_eq!(r.evaluations, m.evaluations, "{opt_kind} b-s-b");
-        assert_eq!(r.gammas, m.gammas, "{opt_kind} b-s-b");
-        assert_eq!(r.energy.to_bits(), o.energy.to_bits(), "{opt_kind} s-b-s");
-        assert_eq!(r.evaluations, o.evaluations, "{opt_kind} s-b-s");
-        assert_eq!(r.betas, o.betas, "{opt_kind} s-b-s");
+        // Raw optimizer legs: batched → scalar → batched, and
+        // scalar → batched → scalar.
+        for batched_first in [true, false] {
+            let mut state = opt.start(&initial, 90);
+            let mut last = None;
+            for (i, &target) in RUNGS.iter().enumerate() {
+                last = Some(if (i % 2 == 0) == batched_first {
+                    opt.resume_until_batched(&mut state, &mut batch, &scalar, target)
+                } else {
+                    opt.resume_until(&mut state, &scalar, target)
+                });
+            }
+            let last = last.unwrap();
+            let r = &reference[2];
+            let ctx = format!("{opt_kind} mixed legs (batched first: {batched_first})");
+            assert_eq!(last.best_value.to_bits(), r.best_value.to_bits(), "{ctx}");
+            assert_eq!(last.best_point, r.best_point, "{ctx}");
+            assert_eq!(last.evaluations, r.evaluations, "{ctx}");
+        }
     }
 }
 
